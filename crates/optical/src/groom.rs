@@ -35,10 +35,14 @@ pub struct GroomedDemand {
 pub struct GroomingManager {
     demands: BTreeMap<u64, GroomedDemand>,
     next_id: u64,
-    /// Count of segment placements that reused an existing lightpath.
+    /// Count of segment placements that reused an existing lightpath, over
+    /// grooms that succeeded.
     reuse_hits: u64,
-    /// Count of segment placements that had to light a new wavelength.
+    /// Count of segment placements that had to light a new wavelength,
+    /// over grooms that succeeded.
     new_lights: u64,
+    /// Count of grooms that failed and were rolled back.
+    failures: u64,
 }
 
 impl GroomingManager {
@@ -63,6 +67,10 @@ impl GroomingManager {
         let mut established: Vec<LightpathId> = Vec::new();
         let mut groomed: Vec<(LightpathId, f64)> = Vec::new();
 
+        // Placement counts land only if every segment places, so a
+        // rolled-back groom leaves the counters as it found them.
+        let (mut reuse_hits, mut new_lights) = (0u64, 0u64);
+
         let rollback = |mgr: &mut Self,
                         optical: &mut OpticalState,
                         groomed: &[(LightpathId, f64)],
@@ -72,8 +80,8 @@ impl GroomingManager {
             }
             for id in established {
                 let _ = optical.teardown(*id);
-                mgr.new_lights = mgr.new_lights.saturating_sub(1);
             }
+            mgr.failures += 1;
         };
 
         for seg in &segments {
@@ -95,12 +103,12 @@ impl GroomingManager {
                 .map(|lp| lp.id);
             let id = match candidate {
                 Some(id) => {
-                    self.reuse_hits += 1;
+                    reuse_hits += 1;
                     id
                 }
                 None => match optical.establish(seg.clone(), policy) {
                     Ok(id) => {
-                        self.new_lights += 1;
+                        new_lights += 1;
                         established.push(id);
                         id
                     }
@@ -117,6 +125,8 @@ impl GroomingManager {
             groomed.push((id, gbps));
             used.push(id);
         }
+        self.reuse_hits += reuse_hits;
+        self.new_lights += new_lights;
 
         let id = self.next_id;
         self.next_id += 1;
@@ -170,6 +180,11 @@ impl GroomingManager {
     /// How many segment placements lit new wavelengths.
     pub fn new_lights(&self) -> u64 {
         self.new_lights
+    }
+
+    /// How many grooms failed and were rolled back.
+    pub fn failures(&self) -> u64 {
+        self.failures
     }
 }
 
@@ -289,6 +304,34 @@ mod tests {
         assert!(err.is_err());
         assert_eq!(opt.lightpath_count(), 0);
         assert_eq!(g.demand_count(), 0);
+    }
+
+    #[test]
+    fn rolled_back_groom_leaves_placement_counters_unchanged() {
+        let (t, p) = rig();
+        let mut opt = OpticalState::new(t);
+        let mut g = GroomingManager::new();
+        let a = g
+            .groom(&mut opt, &p, 10.0, WavelengthPolicy::FirstFit)
+            .unwrap();
+        // Fill the core lightpath and light the core's other three
+        // wavelengths, so the next demand reuses the access segment but
+        // finds no wavelength for the core one.
+        let core = g.demand(a).unwrap().lightpaths[1];
+        opt.add_groomed(core, 90.0).unwrap();
+        let core_path = opt.lightpath(core).unwrap().path.clone();
+        for _ in 0..3 {
+            opt.establish(core_path.clone(), WavelengthPolicy::FirstFit)
+                .unwrap();
+            opt.add_groomed(opt.lightpaths().last().unwrap().id, 100.0)
+                .unwrap();
+        }
+        let (hits, lights) = (g.reuse_hits(), g.new_lights());
+        assert!(g
+            .groom(&mut opt, &p, 10.0, WavelengthPolicy::FirstFit)
+            .is_err());
+        assert_eq!((g.reuse_hits(), g.new_lights()), (hits, lights));
+        assert_eq!(g.failures(), 1);
     }
 
     #[test]

@@ -420,37 +420,51 @@ impl OpticalState {
 
     /// Add groomed bandwidth to a lightpath (used by the grooming manager).
     pub fn add_groomed(&mut self, id: LightpathId, gbps: f64) -> Result<()> {
-        let lp = self
-            .lightpaths
-            .get_mut(&id)
-            .ok_or(OpticalError::UnknownLightpath(id))?;
-        if gbps > lp.residual_gbps() + 1e-9 {
-            return Err(OpticalError::InsufficientLightpathCapacity {
-                lightpath: id,
-                requested_gbps: gbps,
-                available_gbps: lp.residual_gbps(),
-            });
-        }
-        lp.groomed_gbps += gbps;
-        let links = lp.path.links.clone();
-        self.version += 1;
-        for l in links {
-            self.touch(l);
-        }
-        Ok(())
+        self.regroom(id, |lp| {
+            if gbps > lp.residual_gbps() + 1e-9 {
+                return Err(OpticalError::InsufficientLightpathCapacity {
+                    lightpath: id,
+                    requested_gbps: gbps,
+                    available_gbps: lp.residual_gbps(),
+                });
+            }
+            lp.groomed_gbps += gbps;
+            Ok(())
+        })
     }
 
     /// Remove groomed bandwidth from a lightpath.
     pub fn remove_groomed(&mut self, id: LightpathId, gbps: f64) -> Result<()> {
-        let lp = self
-            .lightpaths
+        self.regroom(id, |lp| {
+            lp.groomed_gbps = (lp.groomed_gbps - gbps).max(0.0);
+            Ok(())
+        })
+    }
+
+    /// Apply a grooming change to one lightpath and, if it succeeds, bump
+    /// the global stamp and the stamp of every link the lightpath crosses.
+    /// The borrow is split across the fields, so the route is read in
+    /// place rather than cloned.
+    fn regroom(
+        &mut self,
+        id: LightpathId,
+        change: impl FnOnce(&mut Lightpath) -> Result<()>,
+    ) -> Result<()> {
+        let Self {
+            lightpaths,
+            version,
+            link_version,
+            ..
+        } = self;
+        let lp = lightpaths
             .get_mut(&id)
             .ok_or(OpticalError::UnknownLightpath(id))?;
-        lp.groomed_gbps = (lp.groomed_gbps - gbps).max(0.0);
-        let links = lp.path.links.clone();
-        self.version += 1;
-        for l in links {
-            self.touch(l);
+        change(lp)?;
+        *version += 1;
+        for l in &lp.path.links {
+            if let Some(v) = link_version.get_mut(l.index()) {
+                *v += 1;
+            }
         }
         Ok(())
     }

@@ -422,7 +422,8 @@ impl Committer {
             // Claims hold: install flow rules atomically, then groom the
             // schedule's chains onto wavelengths (best-effort, per chain —
             // wavelength shortage does not block the IP-layer schedule,
-            // mirroring a grey-spectrum fallback).
+            // mirroring a grey-spectrum fallback; the grooming manager
+            // counts each dropped chain as a failure).
             sdn.install(&p.schedule, net)?;
             let mut groomed = Vec::new();
             for chain in schedule_chains(&p.schedule) {
@@ -637,9 +638,15 @@ impl Committer {
         (self.commits, self.rejections)
     }
 
-    /// Grooming statistics: (lightpath reuse hits, new wavelengths lit).
-    pub fn groom_stats(&self) -> (u64, u64) {
-        (self.groom.reuse_hits(), self.groom.new_lights())
+    /// Grooming statistics: (lightpath reuse hits, new wavelengths lit,
+    /// chains dropped). Commit grooms each chain best-effort, so every
+    /// failed groom is a chain left without a lightpath.
+    pub fn groom_stats(&self) -> (u64, u64, u64) {
+        (
+            self.groom.reuse_hits(),
+            self.groom.new_lights(),
+            self.groom.failures(),
+        )
     }
 
     /// The SDN controller's view of installed rules (read-only).

@@ -630,7 +630,7 @@ impl DagCore {
         };
         let (mean_iteration_ms, sum_task_bandwidth_gbps) =
             flexsched_task::report::aggregate(&self.reports);
-        let (groom_reuse_hits, groom_new_lights) = self.plane.groom_stats();
+        let (groom_reuse_hits, groom_new_lights, groom_dropped) = self.plane.groom_stats();
         let dag = DagStats {
             jobs: self.trackers.len() as u64,
             jobs_completed: self.jobs_completed,
@@ -660,6 +660,7 @@ impl DagCore {
             mean_iteration_ms,
             groom_reuse_hits,
             groom_new_lights,
+            groom_dropped,
             duration,
             events,
             shed: self.jobs_shed as u32,

@@ -1062,7 +1062,7 @@ impl EventTestbed {
                 control.task_bw_sum,
             ),
         };
-        let (groom_reuse_hits, groom_new_lights) = control.plane.groom_stats();
+        let (groom_reuse_hits, groom_new_lights, groom_dropped) = control.plane.groom_stats();
         let sojourn = SojournStats {
             completed: control.completed,
             sojourn_mean_ns: control.sojourn.mean_ns(),
@@ -1087,6 +1087,7 @@ impl EventTestbed {
             mean_iteration_ms,
             groom_reuse_hits,
             groom_new_lights,
+            groom_dropped,
             duration,
             events: events_processed,
             shed: control.shed,

@@ -139,8 +139,9 @@ impl CommitPlane {
         }
     }
 
-    /// Grooming statistics: (lightpath reuse hits, new wavelengths lit).
-    pub fn groom_stats(&self) -> (u64, u64) {
+    /// Grooming statistics: (lightpath reuse hits, new wavelengths lit,
+    /// chains dropped).
+    pub fn groom_stats(&self) -> (u64, u64, u64) {
         match self {
             CommitPlane::Single(c) => c.groom_stats(),
             CommitPlane::Sharded { db, .. } => db.groom_stats(),

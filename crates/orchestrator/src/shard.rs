@@ -260,17 +260,17 @@ impl ShardedDb {
     }
 
     /// Grooming statistics summed over the shards: (lightpath reuse hits,
-    /// new wavelengths lit) — the sharded analogue of
+    /// new wavelengths lit, sub-chains dropped) — the sharded analogue of
     /// [`Committer::groom_stats`](crate::Committer::groom_stats).
-    pub fn groom_stats(&self) -> (u64, u64) {
-        let mut hits = 0;
-        let mut lights = 0;
+    pub fn groom_stats(&self) -> (u64, u64, u64) {
+        let mut stats = (0, 0, 0);
         for shard in self.shards.iter() {
             let g = shard.read();
-            hits += g.groom.reuse_hits();
-            lights += g.groom.new_lights();
+            stats.0 += g.groom.reuse_hits();
+            stats.1 += g.groom.new_lights();
+            stats.2 += g.groom.failures();
         }
-        (hits, lights)
+        stats
     }
 
     /// Total reserved bandwidth, summed over each link's home shard.

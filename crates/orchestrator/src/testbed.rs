@@ -122,6 +122,9 @@ pub struct RunSummary {
     pub groom_reuse_hits: u64,
     /// Wavelength-grooming placements that lit a new wavelength.
     pub groom_new_lights: u64,
+    /// Chains (sub-chains on the sharded plane) committed without a
+    /// lightpath because grooming them failed: the grey-spectrum fallback.
+    pub groom_dropped: u64,
     /// Simulated duration.
     pub duration: SimTime,
     /// Events processed by the engine.
@@ -896,7 +899,7 @@ impl Testbed {
         };
         let (mean_iteration_ms, sum_task_bandwidth_gbps) =
             flexsched_task::report::aggregate(&self.reports);
-        let (groom_reuse_hits, groom_new_lights) = self.plane.groom_stats();
+        let (groom_reuse_hits, groom_new_lights, groom_dropped) = self.plane.groom_stats();
         Ok(RunSummary {
             scheduler: self.scheduler.name().to_string(),
             blocked: self.blocked,
@@ -909,6 +912,7 @@ impl Testbed {
             mean_iteration_ms,
             groom_reuse_hits,
             groom_new_lights,
+            groom_dropped,
             duration,
             events: queue.processed(),
             shed: self.shed,

@@ -36,6 +36,7 @@
 //! reachability/SPT-union search) plus one `O(E log E)` sort —
 //! `O(E log V)`, independent of the terminal count.
 
+use crate::algo::fail_fast::reject_isolated_terminal;
 use crate::algo::scratch::{DijkstraScratch, ScratchPool};
 use crate::algo::steiner::{
     best_of_candidate_and_spt_union, root_and_assemble, terminal_set, trivial_tree, SteinerTree,
@@ -79,9 +80,34 @@ pub fn steiner_tree_sparse(
 /// walks every topology edge (weight + Voronoi labels), so unlike KMB's
 /// early-exiting searches a sparse-closure decision genuinely consults
 /// every link.
+///
+/// Shares KMB's fail-fast contract (see [`crate::algo::steiner_tree_in`]):
+/// with weights non-negative or `+∞`, a terminal whose incident links are
+/// all `+∞` returns the full construction's
+/// [`crate::TopoError::Disconnected`] before the weight pass.
 pub fn steiner_tree_sparse_in(
     topo: &Topology,
     root: NodeId,
+    terminals: &[NodeId],
+    weight: impl Fn(&Link) -> f64,
+    pool: &mut ScratchPool,
+) -> Result<SteinerTree> {
+    let result = terminal_set(topo, root, terminals).and_then(|all| {
+        if all.len() == 1 {
+            return Ok(trivial_tree(topo, root, terminals));
+        }
+        reject_isolated_terminal(topo, &all, &weight, pool)?;
+        sparse_solve(topo, &all, terminals, weight, pool)
+    });
+    pool.read_log_mut().record_all(topo.link_count());
+    result
+}
+
+/// The Mehlhorn construction over a validated terminal set `all` (root
+/// first, at least two entries), without the fail-fast prelude.
+pub(crate) fn sparse_solve(
+    topo: &Topology,
+    all: &[NodeId],
     terminals: &[NodeId],
     weight: impl Fn(&Link) -> f64,
     pool: &mut ScratchPool,
@@ -95,7 +121,7 @@ pub fn steiner_tree_sparse_in(
     let mut voronoi = pool.take();
     let result = sparse_inner(
         topo,
-        root,
+        all,
         terminals,
         &weights,
         &mut root_spt,
@@ -106,28 +132,23 @@ pub fn steiner_tree_sparse_in(
     pool.give_back(root_spt);
     pool.give_back_steiner_bufs(bufs);
     pool.give_back_weights(weights);
-    pool.read_log_mut().record_all(topo.link_count());
     result
 }
 
-#[allow(clippy::too_many_arguments)]
 fn sparse_inner(
     topo: &Topology,
-    root: NodeId,
+    all: &[NodeId],
     terminals: &[NodeId],
     weights: &[f64],
     root_spt: &mut DijkstraScratch,
     voronoi: &mut DijkstraScratch,
     bufs: &mut crate::algo::scratch::SteinerBufs,
 ) -> Result<SteinerTree> {
-    let all = terminal_set(topo, root, terminals)?;
-    if all.len() == 1 {
-        return Ok(trivial_tree(topo, root, terminals));
-    }
+    let root = all[0];
 
     // Root SPT: reachability check and the shortest-path-union candidate
     // (early exit once every terminal settles, as in KMB).
-    root_spt.run_with_weights(topo, root, weights, Some(&all))?;
+    root_spt.run_with_weights(topo, root, weights, Some(all))?;
     for t in all.iter().skip(1) {
         if !root_spt.reachable(*t) {
             return Err(crate::TopoError::Disconnected { from: root, to: *t });
@@ -137,7 +158,7 @@ fn sparse_inner(
     // 1) Voronoi pass: one multi-source search from every terminal. No
     //    early exit — labels must be final on every reachable node for the
     //    boundary scan.
-    voronoi.run_multi_with_weights(topo, &all, weights, None)?;
+    voronoi.run_multi_with_weights(topo, all, weights, None)?;
 
     // 2+3) Boundary scan + Kruskal. Entries pack as
     //      `cost_bits << 64 | link_index`: costs are non-negative, so
@@ -198,8 +219,8 @@ fn sparse_inner(
     bufs.sub_links.dedup();
 
     // 5) Shared tail: candidate MST + prune vs pruned SPT union, rooting.
-    let tree_links = best_of_candidate_and_spt_union(topo, &all, weights, root_spt, bufs)?;
-    root_and_assemble(topo, root, &all, terminals, tree_links, weights, bufs)
+    let tree_links = best_of_candidate_and_spt_union(topo, all, weights, root_spt, bufs)?;
+    root_and_assemble(topo, root, all, terminals, tree_links, weights, bufs)
 }
 
 fn connects_all(uf: &mut UnionFind, n: usize) -> bool {

@@ -9,6 +9,7 @@
 pub mod bellman_ford;
 pub mod closure;
 pub mod dijkstra;
+mod fail_fast;
 pub mod mehlhorn;
 pub mod mst;
 pub mod scratch;

@@ -27,6 +27,7 @@
 //! resulting [`SteinerTree`] stores its parent pointers and children lists
 //! as id-indexed arrays computed once at construction.
 
+use crate::algo::fail_fast::reject_isolated_terminal;
 use crate::algo::scratch::{DijkstraScratch, ScratchPool};
 use crate::error::TopoError;
 use crate::ids::{LinkId, NodeId};
@@ -521,13 +522,20 @@ pub(crate) fn prune_to_tree(
 /// Build an MST-based Steiner tree spanning `root` and `terminals` under the
 /// given link weight function (see module docs for the algorithm).
 ///
+/// Weights must be non-negative or `+∞` (`f64::INFINITY` disables a
+/// link). Under that contract a terminal whose incident links are all
+/// disabled fails fast, before the per-link weight pass, with exactly the
+/// error the full construction returns (see [`steiner_tree_in`]).
+///
 /// Allocates its own scratch; schedulers that build trees in a loop should
 /// use [`steiner_tree_in`] with a persistent [`ScratchPool`].
 ///
 /// # Errors
 /// * [`TopoError::EmptyInput`] if `terminals` is empty,
 /// * [`TopoError::Disconnected`] if some terminal is unreachable from the
-///   root under finite weights.
+///   root under finite weights (`to` names the first such terminal, in
+///   first-seen order),
+/// * [`TopoError::BadWeight`] if a search meets a NaN or negative weight.
 pub fn steiner_tree(
     topo: &Topology,
     root: NodeId,
@@ -549,9 +557,37 @@ pub fn steiner_tree(
 /// decision depends on exactly the entries the searches consult, and the
 /// later MST/prune/rooting steps touch only links the searches already
 /// visited.)
+///
+/// **Fail-fast contract.** Before the weight pass, the weight function is
+/// evaluated on the links incident to each terminal. If some terminal's
+/// incident links are all `+∞`, the construction cannot succeed and
+/// returns at once with the same [`TopoError::Disconnected`] the full
+/// construction would return: `from` is the root and `to` is the first
+/// terminal (root first, then first-seen order) unreachable from it. This
+/// is exact only when weights are non-negative or `+∞`: with a NaN or
+/// negative weight the full construction may instead fail with
+/// [`TopoError::BadWeight`] from a search the early exit skips.
 pub fn steiner_tree_in(
     topo: &Topology,
     root: NodeId,
+    terminals: &[NodeId],
+    weight: impl Fn(&Link) -> f64,
+    pool: &mut ScratchPool,
+) -> Result<SteinerTree> {
+    let all = terminal_set(topo, root, terminals)?;
+    if all.len() == 1 {
+        // All terminals equal the root: trivial tree.
+        return Ok(trivial_tree(topo, root, terminals));
+    }
+    reject_isolated_terminal(topo, &all, &weight, pool)?;
+    kmb_solve(topo, &all, terminals, weight, pool)
+}
+
+/// The KMB construction over a validated terminal set `all` (root first,
+/// at least two entries), without the fail-fast prelude.
+pub(crate) fn kmb_solve(
+    topo: &Topology,
+    all: &[NodeId],
     terminals: &[NodeId],
     weight: impl Fn(&Link) -> f64,
     pool: &mut ScratchPool,
@@ -563,7 +599,7 @@ pub fn steiner_tree_in(
     let mut weights = pool.take_weights();
     weights.extend(topo.links().iter().map(&weight));
     let mut bufs = pool.take_steiner_bufs();
-    let result = steiner_tree_inner(topo, root, terminals, &weights, pool, &mut spts, &mut bufs);
+    let result = steiner_tree_inner(topo, all, terminals, &weights, pool, &mut spts, &mut bufs);
     pool.give_back_steiner_bufs(bufs);
     pool.give_back_weights(weights);
     for s in spts {
@@ -573,21 +609,16 @@ pub fn steiner_tree_in(
     result
 }
 
-#[allow(clippy::too_many_arguments)]
 fn steiner_tree_inner(
     topo: &Topology,
-    root: NodeId,
+    all: &[NodeId],
     terminals: &[NodeId],
     weights: &[f64],
     pool: &mut ScratchPool,
     spts: &mut Vec<DijkstraScratch>,
     bufs: &mut crate::algo::scratch::SteinerBufs,
 ) -> Result<SteinerTree> {
-    let all = terminal_set(topo, root, terminals)?;
-    if all.len() == 1 {
-        // All terminals equal the root: trivial tree.
-        return Ok(trivial_tree(topo, root, terminals));
-    }
+    let root = all[0];
 
     // 1) Metric closure: shortest path trees from every terminal, computed
     //    into pooled scratches over the precomputed weights. spts[i] is
@@ -647,8 +678,8 @@ fn steiner_tree_inner(
     // 4+5) MST of the expansion subgraph + prune, compared against the
     //      pruned shortest-path union, then rooted — shared with the
     //      Mehlhorn construction.
-    let tree_links = best_of_candidate_and_spt_union(topo, &all, weights, &spts[0], bufs)?;
-    root_and_assemble(topo, root, &all, terminals, tree_links, weights, bufs)
+    let tree_links = best_of_candidate_and_spt_union(topo, all, weights, &spts[0], bufs)?;
+    root_and_assemble(topo, root, all, terminals, tree_links, weights, bufs)
 }
 
 /// Steps 4–5 shared by both closure variants: MST + non-terminal-leaf

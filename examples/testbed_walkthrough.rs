@@ -52,8 +52,8 @@ fn main() {
         summary.mean_reserved_gbps
     );
     println!(
-        "wavelength grooming: {} reuses, {} new lightpaths",
-        summary.groom_reuse_hits, summary.groom_new_lights
+        "wavelength grooming: {} reuses, {} new lightpaths, {} chains left grey",
+        summary.groom_reuse_hits, summary.groom_new_lights, summary.groom_dropped
     );
     println!("simulated duration : {}", summary.duration);
     println!("events processed   : {}", summary.events);
