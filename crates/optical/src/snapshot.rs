@@ -1,11 +1,23 @@
 //! Frozen, shareable views of the optical-layer occupancy.
 //!
 //! An [`OpticalSnapshot`] freezes the per-link wavelength busy bitmasks
-//! (occupied ∪ impaired) and a compact summary of every established
+//! (occupied ∪ impaired) and the grooming headroom of every established
 //! lightpath at one instant. It is `Send + Sync`, so scheduler worker
 //! threads can evaluate wavelength feasibility and grooming headroom
 //! against a consistent view while the live [`OpticalState`] keeps changing
 //! under the orchestrator's lock.
+//!
+//! Capture is flat: the busy words of every link live in one `Vec<u64>`
+//! addressed by per-link word offsets, and the lightpath registry is
+//! reduced, in one walk over the live routes, to two indices — the largest
+//! residual of any lightpath crossing each link (`groom_max`) and one
+//! `(src, dst, residual)` entry per lightpath. [`groomable_across`] is then
+//! one compare instead of a scan of every lightpath. It answers exactly as
+//! the scan `any(residual + 1e-9 >= gbps)` would: rounding `x + 1e-9` is
+//! monotone in `x`, so the largest sum comes from the largest residual, and
+//! a NaN demand fails both forms.
+//!
+//! [`groomable_across`]: OpticalSnapshot::groomable_across
 
 use crate::error::OpticalError;
 use crate::rwa::{grid_word_mask, words_for, OpticalState, WORD_BITS};
@@ -14,28 +26,25 @@ use crate::Result;
 use flexsched_topo::{LinkId, NodeId, Path, Topology};
 use std::sync::Arc;
 
-/// Compact summary of one established lightpath: everything scheduling
-/// feasibility checks need, without the full registry entry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LightpathView {
-    /// Ingress node.
-    pub src: NodeId,
-    /// Egress node.
-    pub dst: NodeId,
-    /// Residual groomable capacity at capture time, Gbit/s.
-    pub residual_gbps: f64,
-    /// Links the lightpath crosses, in path order.
-    pub links: Vec<LinkId>,
-}
+/// Grooming tolerance, the same as the live state's: a lightpath with
+/// `residual` headroom can take `gbps` iff `residual + GROOM_EPS >= gbps`.
+const GROOM_EPS: f64 = 1e-9;
 
 /// An immutable point-in-time copy of wavelength occupancy and lightpath
 /// grooming headroom.
 #[derive(Debug, Clone)]
 pub struct OpticalSnapshot {
     topo: Arc<Topology>,
-    /// `busy[link]` = occupancy ∪ impairment bitmask words at capture time.
-    busy: Vec<Vec<u64>>,
-    lightpaths: Vec<LightpathView>,
+    /// Occupancy ∪ impairment bitmask words of every link, concatenated:
+    /// link `l`'s words are `busy[offsets[l]..offsets[l + 1]]`.
+    busy: Vec<u64>,
+    /// Per-link word offsets into `busy`; one entry more than links.
+    offsets: Vec<usize>,
+    /// `groom_max[link]` = largest residual (Gbit/s) of any lightpath
+    /// crossing `link`; NaN when none does, so every demand fails.
+    groom_max: Vec<f64>,
+    /// `(src, dst, residual)` of every lightpath, id order.
+    endpoints: Vec<(NodeId, NodeId, f64)>,
     version: u64,
     /// Per-link spectrum mutation stamps at capture time.
     link_version: Vec<u64>,
@@ -43,27 +52,37 @@ pub struct OpticalSnapshot {
 
 impl OpticalSnapshot {
     /// Freeze `state`'s current occupancy. O(links × grid/64) word copies
-    /// plus one compact summary per established lightpath.
+    /// into one buffer plus one walk over every established lightpath's
+    /// route.
     pub fn capture(state: &OpticalState) -> Self {
         let (occupied, impaired, lightpaths, link_version) = state.raw_parts();
-        let busy = occupied
-            .iter()
-            .zip(impaired.iter())
-            .map(|(occ, imp)| occ.iter().zip(imp.iter()).map(|(o, i)| o | i).collect())
-            .collect();
-        let lightpaths = lightpaths
-            .values()
-            .map(|lp| LightpathView {
-                src: lp.source(),
-                dst: lp.destination(),
-                residual_gbps: lp.residual_gbps(),
-                links: lp.path.links.clone(),
-            })
-            .collect();
+        let words: usize = occupied.iter().map(Vec::len).sum();
+        let mut busy = Vec::with_capacity(words);
+        let mut offsets = Vec::with_capacity(occupied.len() + 1);
+        offsets.push(0);
+        for (occ, imp) in occupied.iter().zip(impaired) {
+            busy.extend(occ.iter().zip(imp).map(|(o, i)| o | i));
+            offsets.push(busy.len());
+        }
+        let mut groom_max = vec![f64::NAN; occupied.len()];
+        let mut endpoints = Vec::with_capacity(lightpaths.len());
+        for lp in lightpaths.values() {
+            let residual = lp.residual_gbps();
+            endpoints.push((lp.source(), lp.destination(), residual));
+            for l in &lp.path.links {
+                // `f64::max` returns the non-NaN operand, so the NaN
+                // "no lightpath" sentinel gives way to the first residual.
+                if let Some(m) = groom_max.get_mut(l.index()) {
+                    *m = m.max(residual);
+                }
+            }
+        }
         OpticalSnapshot {
             topo: state.topo_arc(),
             busy,
-            lightpaths,
+            offsets,
+            groom_max,
+            endpoints,
             version: state.version(),
             link_version: link_version.to_vec(),
         }
@@ -93,20 +112,32 @@ impl OpticalSnapshot {
         Ok(self.topo.link(link)?.wavelengths.max(1))
     }
 
+    /// Busy words of a link already known to exist.
+    #[inline]
+    fn words(&self, link: LinkId) -> &[u64] {
+        let i = link.index();
+        &self.busy[self.offsets[i]..self.offsets[i + 1]]
+    }
+
     /// Whether any wavelength was free on `link` at capture time.
     pub fn has_free_wavelength(&self, link: LinkId) -> Result<bool> {
         let grid = self.grid_of(link)?;
-        let busy = &self.busy[link.index()];
-        Ok((0..words_for(grid)).any(|i| !busy[i] & grid_word_mask(grid, i) != 0))
+        Ok(self
+            .words(link)
+            .iter()
+            .enumerate()
+            .any(|(i, b)| !b & grid_word_mask(grid, i) != 0))
     }
 
     /// Number of free wavelengths on `link` at capture time — the
     /// continuity-set headroom the wavelength-aware tree weight reads.
     pub fn free_wavelength_count(&self, link: LinkId) -> Result<u32> {
         let grid = self.grid_of(link)?;
-        let busy = &self.busy[link.index()];
-        Ok((0..words_for(grid))
-            .map(|i| (!busy[i] & grid_word_mask(grid, i)).count_ones())
+        Ok(self
+            .words(link)
+            .iter()
+            .enumerate()
+            .map(|(i, b)| (!b & grid_word_mask(grid, i)).count_ones())
             .sum())
     }
 
@@ -123,9 +154,8 @@ impl OpticalSnapshot {
         let words = words_for(grid);
         let mut mask: Vec<u64> = (0..words).map(|i| grid_word_mask(grid, i)).collect();
         for l in &path.links {
-            let busy = &self.busy[l.index()];
-            for (i, m) in mask.iter_mut().enumerate() {
-                *m &= !busy[i];
+            for (m, b) in mask.iter_mut().zip(self.words(*l)) {
+                *m &= !b;
             }
         }
         Ok(mask)
@@ -154,30 +184,27 @@ impl OpticalSnapshot {
         Ok(free)
     }
 
-    /// Summaries of every lightpath established at capture time, id order.
-    pub fn lightpaths(&self) -> &[LightpathView] {
-        &self.lightpaths
-    }
-
     /// Whether some lightpath with endpoints `(src, dst)` still had at
     /// least `gbps` of groomable headroom at capture time.
     pub fn groomable_between(&self, src: NodeId, dst: NodeId, gbps: f64) -> bool {
-        self.lightpaths
+        self.endpoints
             .iter()
-            .any(|lp| lp.src == src && lp.dst == dst && lp.residual_gbps + 1e-9 >= gbps)
+            .any(|&(s, d, residual)| s == src && d == dst && residual + GROOM_EPS >= gbps)
     }
 
     /// Whether some lightpath crossing `link` still had at least `gbps` of
-    /// groomable headroom at capture time.
+    /// groomable headroom at capture time. O(1): one compare against the
+    /// link's largest residual.
+    #[inline]
     pub fn groomable_across(&self, link: LinkId, gbps: f64) -> bool {
-        self.lightpaths
-            .iter()
-            .any(|lp| lp.links.contains(&link) && lp.residual_gbps + 1e-9 >= gbps)
+        self.groom_max
+            .get(link.index())
+            .is_some_and(|m| m + GROOM_EPS >= gbps)
     }
 
     /// Validate that `link` exists, mirroring the live-state error shape.
     pub fn check(&self, link: LinkId) -> Result<()> {
-        if link.index() < self.busy.len() {
+        if link.index() < self.groom_max.len() {
             Ok(())
         } else {
             Err(OpticalError::Topo(flexsched_topo::TopoError::UnknownLink(
@@ -240,7 +267,6 @@ mod tests {
         let id = s.establish(p.clone(), WavelengthPolicy::FirstFit).unwrap();
         s.add_groomed(id, 60.0).unwrap();
         let snap = s.snapshot();
-        assert_eq!(snap.lightpaths().len(), 1);
         assert!(snap.groomable_between(p.source(), p.destination(), 40.0));
         assert!(!snap.groomable_between(p.source(), p.destination(), 50.0));
         assert!(snap.groomable_across(p.links[1], 40.0));
@@ -294,6 +320,35 @@ mod tests {
             );
         }
         assert!(!s.groomable_across(LinkId(99), 1.0));
+    }
+
+    #[test]
+    fn grooming_tolerance_is_one_nanogbit_on_both_views() {
+        let (t, p) = wdm_line();
+        let mut s = OpticalState::new(Arc::clone(&t));
+        let hop1 = Path::new(vec![p.nodes[0], p.nodes[1]], vec![p.links[0]]).unwrap();
+        let id = s.establish_on(hop1, WavelengthId(0)).unwrap();
+        s.add_groomed(id, 60.0).unwrap();
+        let residual = s.lightpath(id).unwrap().residual_gbps();
+        let snap = s.snapshot();
+        let (crossed, idle) = (p.links[0], p.links[1]);
+        for (gbps, groomable) in [
+            (residual, true),
+            (residual + 1e-9, true),
+            (residual + 1e-6, false),
+        ] {
+            assert_eq!(s.groomable_across(crossed, gbps), groomable, "{gbps}");
+            assert_eq!(snap.groomable_across(crossed, gbps), groomable, "{gbps}");
+            assert_eq!(
+                snap.groomable_between(p.nodes[0], p.nodes[1], gbps),
+                groomable,
+                "{gbps}"
+            );
+        }
+        for gbps in [residual, 1.0, 0.0, -1.0, f64::NEG_INFINITY] {
+            assert!(!s.groomable_across(idle, gbps), "{gbps}");
+            assert!(!snap.groomable_across(idle, gbps), "{gbps}");
+        }
     }
 
     #[test]

@@ -347,3 +347,156 @@ proptest! {
         }
     }
 }
+
+/// Mixed-grid fabric for snapshot equivalence: four servers on 1-wavelength
+/// access links into a ROADM ring of 4-, 8-, 16- and 96-wavelength fibers
+/// plus a 130-wavelength chord, so links span one to three busy words.
+fn mixed_grid_topology() -> Arc<flexsched_topo::Topology> {
+    use flexsched_topo::NodeKind;
+    let mut t = flexsched_topo::Topology::new();
+    let roadms: Vec<_> = (0..4)
+        .map(|i| t.add_node(NodeKind::Roadm, format!("r{i}")))
+        .collect();
+    for (i, r) in roadms.iter().enumerate() {
+        let s = t.add_node(NodeKind::Server, format!("s{i}"));
+        t.add_link(s, *r, 0.1, 100.0).unwrap();
+    }
+    for (i, grid) in [4u16, 8, 16, 96].into_iter().enumerate() {
+        let (a, b) = (roadms[i], roadms[(i + 1) % 4]);
+        t.add_wdm_link(a, b, 10.0, 100.0 * f64::from(grid), grid)
+            .unwrap();
+    }
+    t.add_wdm_link(roadms[0], roadms[2], 15.0, 13_000.0, 130)
+        .unwrap();
+    Arc::new(t)
+}
+
+/// Demands probing the grooming tolerance around every live residual, plus
+/// one above any lightpath's capacity.
+fn boundary_demands(state: &OpticalState) -> Vec<f64> {
+    let mut demands = vec![0.0, 1_000.0];
+    for lp in state.lightpaths() {
+        let r = lp.residual_gbps();
+        demands.extend([r, r - 1e-9, r + 1e-9, r - 2e-9, r + 2e-9]);
+        demands.push(lp.capacity_gbps + 1.0);
+    }
+    demands
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A snapshot answers every feasibility query exactly as the live state
+    /// it was captured from: free-wavelength counts and continuity sets,
+    /// grooming headroom per link and per endpoint pair, link stamps and
+    /// link validation, after any interleaving of establishments under all
+    /// four policies, grooming, impairments and teardowns.
+    #[test]
+    fn snapshot_answers_like_live_state(
+        ops in proptest::collection::vec(
+            (0u8..5, 0u8..4, 0usize..1_000, 0u16..200, 0.0f64..1.2),
+            1..40,
+        ),
+    ) {
+        use flexsched_optical::{LightpathId, WavelengthId};
+        use flexsched_topo::LinkId;
+        let topo = mixed_grid_topology();
+        let nodes: Vec<_> = topo.nodes().iter().map(|n| n.id).collect();
+        let mut paths = Vec::new();
+        for &a in &nodes {
+            for &b in &nodes {
+                if a < b {
+                    paths.push(algo::shortest_path(&topo, a, b, algo::hop_weight).unwrap());
+                }
+            }
+        }
+        let mut state = OpticalState::new(Arc::clone(&topo));
+        let mut live: Vec<LightpathId> = Vec::new();
+
+        for (op, pol, pick, w, frac) in ops {
+            match op {
+                0 => {
+                    let path = paths[pick % paths.len()].clone();
+                    if let Ok(id) = state.establish(path, policy_from(pol)) {
+                        live.push(id);
+                    }
+                }
+                1 | 2 if !live.is_empty() => {
+                    let id = live[pick % live.len()];
+                    let lp = state.lightpath(id).unwrap();
+                    // About a third of these steps groom exactly the
+                    // residual or release exactly the groomed load; the
+                    // rest use a fraction of capacity that may overshoot.
+                    let exact = if op == 1 { lp.residual_gbps() } else { lp.groomed_gbps };
+                    let gbps = if w % 3 == 0 { exact } else { frac * lp.capacity_gbps };
+                    let _ = if op == 1 {
+                        state.add_groomed(id, gbps)
+                    } else {
+                        state.remove_groomed(id, gbps)
+                    };
+                }
+                3 => {
+                    let link = LinkId((pick % topo.link_count()) as u32);
+                    let grid = topo.link(link).unwrap().wavelengths.max(1);
+                    state
+                        .set_impaired(link, WavelengthId(w % grid), pick % 2 == 0)
+                        .unwrap();
+                }
+                _ if !live.is_empty() => {
+                    let id = live.swap_remove(pick % live.len());
+                    state.teardown(id).unwrap();
+                }
+                _ => {}
+            }
+
+            let snap = state.snapshot();
+            let demands = boundary_demands(&state);
+            for link in topo.links().iter().map(|l| l.id) {
+                prop_assert_eq!(
+                    snap.has_free_wavelength(link).unwrap(),
+                    state.has_free_wavelength(link).unwrap()
+                );
+                prop_assert_eq!(
+                    snap.free_wavelength_count(link).unwrap(),
+                    state.free_wavelength_count(link).unwrap()
+                );
+                prop_assert_eq!(snap.link_version(link), state.link_version(link));
+                prop_assert!(snap.check(link).is_ok());
+                for &gbps in &demands {
+                    prop_assert_eq!(
+                        snap.groomable_across(link, gbps),
+                        state.groomable_across(link, gbps),
+                        "groomable_across({}, {})", link, gbps
+                    );
+                }
+            }
+            let unknown = LinkId(topo.link_count() as u32);
+            prop_assert!(snap.check(unknown).is_err());
+            prop_assert!(state.has_free_wavelength(unknown).is_err());
+            prop_assert_eq!(snap.link_version(unknown), state.link_version(unknown));
+            prop_assert!(!snap.groomable_across(unknown, 0.0));
+
+            for path in &paths {
+                let free = state.free_wavelengths_on_path(path).unwrap();
+                prop_assert_eq!(
+                    snap.path_has_free_wavelength(path).unwrap(),
+                    !free.is_empty()
+                );
+                prop_assert_eq!(snap.free_wavelengths_on_path(path).unwrap(), free);
+                let (src, dst) = (path.source(), path.destination());
+                for &gbps in &demands {
+                    let live_between = state.lightpaths().any(|lp| {
+                        lp.source() == src
+                            && lp.destination() == dst
+                            && lp.residual_gbps() + 1e-9 >= gbps
+                    });
+                    prop_assert_eq!(
+                        snap.groomable_between(src, dst, gbps),
+                        live_between,
+                        "groomable_between({}, {}, {})", src, dst, gbps
+                    );
+                }
+            }
+        }
+    }
+}

@@ -62,12 +62,13 @@ pub fn auxiliary_weight(
         return f64::INFINITY;
     }
     let residual = net.residual_min_gbps(link.id);
+    let is_reused = reused.contains(&link.id);
     // A link with no residual is unusable — unless the task itself already
     // occupies it: during rescheduling the previous schedule's reservations
     // are freed at migration time, so its own links stay routable (their
     // bandwidth term is zero below; congestion still shows in the queue
     // penalty). Foreign saturation keeps pricing at infinity.
-    if residual <= 0.0 && !reused.contains(&link.id) {
+    if residual <= 0.0 && !is_reused {
         return f64::INFINITY;
     }
     // Wavelength feasibility and headroom: a link is usable if a new
@@ -77,7 +78,7 @@ pub fn auxiliary_weight(
     // bitset RWA words) doubles as the continuity-set headroom.
     let mut headroom_term = 0.0;
     if let Some(opt) = snap.optical() {
-        if !reused.contains(&link.id) {
+        if !is_reused {
             let free = opt.free_wavelength_count(link.id).unwrap_or(0);
             if free == 0 && !opt.groomable_across(link.id, demand_gbps) {
                 return f64::INFINITY;
@@ -87,7 +88,7 @@ pub fn auxiliary_weight(
         }
     }
 
-    let bandwidth_term = if reused.contains(&link.id) {
+    let bandwidth_term = if is_reused {
         0.0
     } else {
         // Demand as a fraction of residual: cheap on empty links, expensive
